@@ -2,47 +2,37 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
-// obsCfg carries the observability flags: -http (admin surface) and
-// -events-out (JSONL event trace dump). Either one enables event tracing.
-type obsCfg struct {
+// admin wires the obs layer onto one run: an event ring shared by every
+// runtime incarnation the run goes through, an optional HTTP admin server
+// (-http), and the final JSONL dump (-events-out). A nil *admin is the
+// disabled state — every method no-ops — so runs with neither flag install
+// no sinks and pay nothing.
+type admin struct {
 	httpAddr  string
 	eventsOut string
-}
-
-func (o obsCfg) enabled() bool { return o.httpAddr != "" || o.eventsOut != "" }
-
-// admin wires the obs layer onto one run: an event ring shared by every
-// runtime incarnation the run goes through, an optional HTTP admin
-// server, and the final JSONL dump. A nil *admin is the disabled state —
-// every method no-ops — so runs without -http/-events-out install no
-// sinks and pay nothing.
-type admin struct {
-	cfg  obsCfg
-	ring *obs.Ring
-	srv  *obs.Server
-	done bool
+	out       io.Writer
+	ring      *obs.Ring
+	srv       *obs.Server
 
 	// mu serializes runtime access between the driver loop and the HTTP
-	// handlers. The TCP Coordinator is internally locked and does not
-	// need it; the single-threaded simulators (Sim, AsyncSim) do, as does
-	// runTCPKillCoord's coordinator rebinding. Callbacks handed to
-	// obs.Metrics take it through locked().
+	// handlers: the single-threaded simulator needs it, and so does a TCP
+	// coordinator takeover, which rebinds the runtime's coordinator.
 	mu sync.Mutex
 }
 
-func newAdmin(cfg obsCfg) *admin {
-	if !cfg.enabled() {
+func newAdmin(httpAddr, eventsOut string, out io.Writer) *admin {
+	if httpAddr == "" && eventsOut == "" {
 		return nil
 	}
-	return &admin{cfg: cfg, ring: obs.NewRing(obs.DefaultRingCap)}
+	return &admin{httpAddr: httpAddr, eventsOut: eventsOut, out: out, ring: obs.NewRing(obs.DefaultRingCap)}
 }
 
 // sink returns the event sink to install on a runtime: the ring's Emit,
@@ -55,9 +45,8 @@ func (a *admin) sink() dist.EventSink {
 	return a.ring.Emit
 }
 
-// lock/unlock guard driver-loop runtime access against HTTP reads; on a
-// nil or serverless admin they still take the (uncontended) mutex only
-// when observability is on at all.
+// lock/unlock guard driver-loop runtime access against HTTP reads; both
+// no-op when observability is off.
 func (a *admin) lock() {
 	if a != nil {
 		a.mu.Lock()
@@ -70,128 +59,71 @@ func (a *admin) unlock() {
 	}
 }
 
-// locked runs fn under the admin mutex — the form the metrics/status
-// callbacks use.
-func (a *admin) locked(fn func()) {
-	a.lock()
-	defer a.unlock()
-	fn()
+// guard wraps fn to run under the admin mutex — the form the metrics and
+// status callbacks take.
+func guard[T any](a *admin, fn func() T) func() T {
+	return func() T {
+		a.lock()
+		defer a.unlock()
+		return fn()
+	}
 }
 
 // serve starts the HTTP admin surface when -http was given. The metrics
 // registry gains the event ring and the Go runtime gauges; the chosen
 // address (real port even for ":0") is printed so scripts and smokes can
 // scrape it.
-func (a *admin) serve(m *obs.Metrics, status func() any) {
-	if a == nil || a.cfg.httpAddr == "" {
-		return
+func (a *admin) serve(m *obs.Metrics, status func() any) error {
+	if a == nil || a.httpAddr == "" {
+		return nil
 	}
 	m.Ring = a.ring
 	m.Runtime = true
-	srv, err := obs.Serve(a.cfg.httpAddr, obs.NewHandler(&obs.Admin{
+	srv, err := obs.Serve(a.httpAddr, obs.NewHandler(&obs.Admin{
 		Status:  status,
 		Metrics: m,
 		Ring:    a.ring,
 	}))
 	if err != nil {
-		fatalf("admin http on %s: %v", a.cfg.httpAddr, err)
+		return fmt.Errorf("admin http on %s: %w", a.httpAddr, err)
 	}
 	a.srv = srv
-	fmt.Printf("admin surface on %s (/status /metrics /events /healthz /debug/pprof)\n", srv.URL())
+	fmt.Fprintf(a.out, "admin surface on %s (/status /metrics /events /healthz /debug/pprof)\n", srv.URL())
+	return nil
 }
 
 // finish shuts the admin server down gracefully (no leaked listener) and
-// dumps the retained event trace to -events-out. It is idempotent: the
-// fault smokes call it before their final asserts so a failing run still
-// leaves its trace behind, and the deferred call then no-ops.
-func (a *admin) finish() {
-	if a == nil || a.done {
-		return
+// dumps the retained event trace to -events-out. The caller must not hold
+// the admin mutex, which in-flight handlers may be waiting on.
+func (a *admin) finish() error {
+	if a == nil {
+		return nil
 	}
-	a.done = true
 	if a.srv != nil {
 		if err := a.srv.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "varmon: admin shutdown: %v\n", err)
 		}
-		a.srv = nil
 	}
-	if a.cfg.eventsOut != "" {
-		f, err := os.Create(a.cfg.eventsOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		events := a.ring.Snapshot()
-		if err := obs.WriteJSONL(f, events); err != nil {
-			fatalf("writing events: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing events: %v", err)
-		}
-		if ev := a.ring.Evicted(); ev > 0 {
-			fmt.Printf("wrote %d events to %s (%d older events evicted from the %d-deep ring)\n",
-				len(events), a.cfg.eventsOut, ev, obs.DefaultRingCap)
-		} else {
-			fmt.Printf("wrote %d events to %s\n", len(events), a.cfg.eventsOut)
-		}
+	if a.eventsOut == "" {
+		return nil
 	}
-}
-
-// tcpHealth is the /healthz verdict for a TCP coordinator: degraded while
-// any site slot is presumed dead.
-func tcpHealth(coord *dist.Coordinator, k int) obs.Health {
-	for i := 0; i < k; i++ {
-		if coord.SiteDead(i) {
-			return obs.Health{Detail: fmt.Sprintf("site %d dead", i)}
-		}
+	f, err := os.Create(a.eventsOut)
+	if err != nil {
+		return err
 	}
-	return obs.Health{OK: true}
-}
-
-// serveAsyncAdmin starts the admin surface over an AsyncSim run. The
-// simulator is single-threaded, so every callback fences access through
-// the admin mutex — the driver loop holds it across Step. eng is non-nil
-// in multi-query mode and adds the per-query metric families plus the
-// query table on /status.
-func serveAsyncAdmin(sim *dist.AsyncSim, k int, a *admin, eng *query.Coord) {
-	m := &obs.Metrics{
-		Stats: func() dist.Stats { a.lock(); defer a.unlock(); return sim.Stats() },
-		Gauges: func(emit func(name, help string, value float64)) {
-			a.lock()
-			now, pending := sim.Now(), sim.Pending()
-			a.unlock()
-			emit("virtual_time_ticks", "Simulator virtual clock.", float64(now))
-			emit("pending_events", "Undelivered events in the simulator heap.", float64(pending))
-		},
-		Health: func() obs.Health {
-			a.lock()
-			defer a.unlock()
-			if sim.CoordCrashed() {
-				return obs.Health{Detail: "coordinator crashed"}
-			}
-			for i := 0; i < k; i++ {
-				if sim.Crashed(i) {
-					return obs.Health{Detail: fmt.Sprintf("site %d crashed", i)}
-				}
-				if sim.Suspected(i) {
-					return obs.Health{Detail: fmt.Sprintf("site %d suspected dead", i)}
-				}
-			}
-			return obs.Health{OK: true}
-		},
+	events := a.ring.Snapshot()
+	if err := obs.WriteJSONL(f, events); err != nil {
+		f.Close()
+		return fmt.Errorf("writing events: %w", err)
 	}
-	status := func() any {
-		a.lock()
-		defer a.unlock()
-		return singleStatus{Estimate: sim.Estimate(), Stats: sim.Stats()}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing events: %w", err)
 	}
-	if eng != nil {
-		m.Classes = func() []dist.Stats { a.lock(); defer a.unlock(); return sim.ClassStats() }
-		m.ClassLabel = "query"
-		status = func() any {
-			a.lock()
-			defer a.unlock()
-			return liveStatus{Queries: eng.Status(), Stats: sim.Stats(), PerQuery: sim.ClassStats()}
-		}
+	if ev := a.ring.Evicted(); ev > 0 {
+		fmt.Fprintf(a.out, "wrote %d events to %s (%d older events evicted from the %d-deep ring)\n",
+			len(events), a.eventsOut, ev, obs.DefaultRingCap)
+	} else {
+		fmt.Fprintf(a.out, "wrote %d events to %s\n", len(events), a.eventsOut)
 	}
-	a.serve(m, status)
+	return nil
 }

@@ -1,92 +1,71 @@
-// Command varmon demonstrates the library as a real distributed monitoring
-// service: a coordinator and k sites track a simulated update stream and
-// periodically print the coordinator's estimate against the true value.
+// Command varmon runs the library as a live distributed monitoring service:
+// a coordinator and k sites track an update stream while varmon prints the
+// estimates against the exact values, then a per-query report.
 //
-// By default the run is live TCP on loopback with the deterministic
-// variability tracker of §3.3. With -net the run moves to the
-// fault-injecting asynchronous simulator (dist.AsyncSim) under the given
-// network model, adding staleness and loss counters to the report:
+// The runtime is live TCP on loopback, or with -net MODEL the
+// fault-injecting asynchronous simulator (dist.AsyncSim). The coordinator
+// always runs the multi-query engine (internal/query): with one query, the
+// deterministic tracker of §3.3 at -eps, unless -queries SPECS asks for Q
+// concurrent queries — mixed algorithms, ε's, item filters, and at=T
+// attaches mid-stream. -http ADDR serves /status, /metrics, /events,
+// /healthz and /debug/pprof (":0" picks a port and prints it), and
+// -events-out FILE dumps the protocol event trace at exit. -record FILE
+// tees the workload into a trace file; -replay FILE drives the run from
+// one.
 //
+// On TCP, -hb arms heartbeat failure detection, and -kill STEP:SITE and
+// -kill-coord STEP [-standby] are crash-fault smokes: at update STEP the
+// site's or the coordinator's process is killed, the victims' updates
+// buffer, a replacement takes over — restored from a pre-kill snapshot for
+// a site or a -standby coordinator — and the backlog replays; the run exits
+// nonzero unless exactly one takeover happened and every estimate is back
+// inside ε. -snapshot-dir DIR persists the coordinator snapshot at every
+// progress line, or with -kill-coord only the pre-kill checkpoint; -restore
+// DIR boots the coordinator (with -kill-coord, the standby) from the newest
+// snapshot there whose integrity hash verifies, skipping damaged files
+// loudly.
+//
+//	varmon -k 4 -n 100000
+//	varmon -stream zipf -queries 'det,eps=0.05;freq,eps=0.1,filter=even;rand,eps=0.1,at=50000'
 //	varmon -net latency=8,jitter=2,drop=0.01,retrans=3
-//
-// With -queries the run becomes a multi-tenant monitor (internal/query):
-// Q concurrent tracking queries — mixed algorithms, ε's, item filters —
-// multiplexed over the one shared runtime, with per-query cost and error
-// reporting. Queries with an at=T option attach mid-stream, bootstrapping
-// the history they missed through the resync machinery:
-//
-//	varmon -stream zipf -queries 'det,eps=0.05;freq,eps=0.1;det,eps=0.1,filter=even;rand,eps=0.1,at=50000'
-//
-// -http ADDR serves the live admin surface on any runtime: GET /status
-// (JSON estimates and counters), /metrics (Prometheus text exposition,
-// aggregate plus per-query families), /events?n=K (the newest K traced
-// protocol events as JSONL), /healthz (503 while a site or the
-// coordinator is down), and /debug/pprof. ":0" binds an ephemeral port
-// and prints the one chosen. -events-out FILE dumps the retained event
-// trace as JSONL at exit; either flag enables tracing, and runs with
-// neither install no sinks and pay nothing.
-//
-// Workloads can be recorded while running (-record FILE, a streaming tee —
-// the run and the file see the identical updates) and replayed (-replay
-// FILE), including replaying with -record to re-encode an old trace.
-//
-// On live TCP, -hb INTERVAL arms failure detection: sites beacon
-// heartbeats and the coordinator declares a slot dead after -hb-miss
-// consecutive missed periods instead of aborting on its read error. Site
-// dials retry with exponential backoff up to -dial-timeout, so sites can
-// start before the coordinator listens. -kill STEP:SITE is the
-// crash-fault smoke: at update STEP the given site's process is killed
-// mid-stream; the run waits for the detector's verdict, keeps streaming
-// degraded (the victim's updates buffer locally), then dials a warm
-// replacement restored from a pre-kill snapshot into the dead slot,
-// replays the buffered updates, and exits nonzero unless the final
-// estimate is back inside ε:
-//
 //	varmon -n 20000 -hb 10ms -kill 8000:1
-//
-// -kill-coord STEP is the coordinator-side mirror: at update STEP the
-// coordinator process is killed. Every site's updates buffer locally while
-// the slot is vacant, then a replacement coordinator comes up on a new
-// port (with -standby, warm: restored from a pre-kill snapshot; without,
-// cold: rebuilt purely from what the sites re-report through the
-// KindCoordTakeover handshake), all sites re-dial it, the buffered
-// backlogs replay, and the run exits nonzero unless exactly one
-// coordinator takeover happened and the final estimate is inside ε:
-//
-//	varmon -n 20000 -hb 10ms -kill-coord 8000 -standby
-//
-// -snapshot-dir DIR persists the coordinator's self-verifying snapshot to
-// DIR at every progress interval (and at the pre-kill checkpoint with
-// -kill-coord); -restore DIR boots the coordinator from the newest
-// snapshot in DIR that still passes its integrity hash — damaged files
-// are skipped loudly, never silently restored. With -restore the
-// coordinator resumes the snapshot's accumulated history, so the printed
-// exact value only matches when the run continues the recorded stream.
-//
-// Usage:
-//
-//	varmon [-k 4] [-eps 0.1] [-n 100000] [-stream randwalk|biased|monotone|sawtooth|zipf] [-seed 1]
-//	       [-queries SPECS] [-http ADDR] [-events-out FILE] [-record FILE] [-replay FILE] [-net MODEL]
-//	       [-dial-timeout 2s] [-hb 0] [-hb-miss 3] [-kill STEP:SITE] [-takeover-after 0]
-//	       [-kill-coord STEP] [-standby] [-snapshot-dir DIR] [-restore DIR]
+//	varmon -n 20000 -hb 10ms -kill-coord 8000 -standby -snapshot-dir /tmp/vs -restore /tmp/vs
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/track"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "varmon: "+format+"\n", args...)
+// usageError is a bad flag value; main exits 2 on it, as the flag package
+// does on a parse error.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "varmon: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
 	os.Exit(1)
 }
 
@@ -104,84 +83,114 @@ var streamClasses = []struct {
 	{"zipf", func(n int64, seed uint64) stream.Stream { return stream.NewItemGen(n, 4096, 1.1, 0.2, seed) }},
 }
 
-// makeStream resolves a -stream class name, or exits with a friendly error
-// naming the valid classes.
-func makeStream(class string, n int64, seed uint64) stream.Stream {
+func makeStream(class string, n int64, seed uint64) (stream.Stream, error) {
 	names := make([]string, len(streamClasses))
 	for i, c := range streamClasses {
 		names[i] = c.name
 		if c.name == class {
-			return c.make(n, seed)
+			return c.make(n, seed), nil
 		}
 	}
-	fmt.Fprintf(os.Stderr, "varmon: unknown stream class %q (valid classes: %s)\n",
-		class, strings.Join(names, "|"))
-	os.Exit(2)
-	return nil
+	return nil, usagef("-stream: unknown class %q (valid classes: %s)", class, strings.Join(names, "|"))
 }
 
-// tee passes an assigned stream through while writing every update to a
-// trace — recording is a side effect of the run consuming the stream, so
-// the file can never diverge from the workload the run actually saw.
-type tee struct {
-	inner stream.Stream
-	tw    *stream.TraceWriter
-}
-
-func (t *tee) Next() (stream.Update, bool) {
-	u, ok := t.inner.Next()
-	if ok {
-		if err := t.tw.Write(u); err != nil {
-			fatalf("writing trace: %v", err)
-		}
-	}
-	return u, ok
-}
-
-func main() {
+// run parses args, builds the stream, the engine, the runtime and the
+// fault plan, and drives the run, printing to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("varmon", flag.ContinueOnError)
 	var (
-		k         = flag.Int("k", 4, "number of sites")
-		eps       = flag.Float64("eps", 0.1, "relative error parameter (single-query mode)")
-		n         = flag.Int64("n", 100_000, "stream length")
-		seed      = flag.Uint64("seed", 1, "stream seed")
-		sclass    = flag.String("stream", "randwalk", "stream class: randwalk|biased|monotone|sawtooth|zipf")
-		refresh   = flag.Int64("progress", 10, "progress lines to print")
-		record    = flag.String("record", "", "tee the workload into this trace file while running")
-		replay    = flag.String("replay", "", "drive the run from a recorded trace file instead of a generator")
-		netFlag   = flag.String("net", "", "run on the async fault simulator under this model (e.g. latency=8,jitter=2,drop=0.01,retrans=3) instead of live TCP")
-		queries   = flag.String("queries", "", "multi-query mode: ';'-separated query specs, e.g. 'det,eps=0.1;freq,eps=0.2,filter=even;rand,eps=0.05,at=50000'")
-		httpAddr  = flag.String("http", "", "serve the live admin surface (/status /metrics /events /healthz /debug/pprof) on this address — works with every runtime; \":0\" picks a port and prints it")
-		eventsOut = flag.String("events-out", "", "dump the protocol event trace as JSONL to this file at exit")
-		dialTO    = flag.Duration("dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
-		hb        = flag.Duration("hb", 0, "TCP failure detection: heartbeat interval (0 = off)")
-		hbMiss    = flag.Int("hb-miss", 3, "consecutive missed heartbeat periods before a slot is declared dead")
-		kill      = flag.String("kill", "", "crash-fault smoke (TCP single-query mode): kill site at 'STEP:SITE', e.g. 8000:1")
-		tkAfter   = flag.Duration("takeover-after", 0, "with -kill/-kill-coord: extra degraded time before the replacement comes up")
-		killCo    = flag.Int64("kill-coord", 0, "coordinator crash smoke (TCP single-query mode): kill the coordinator at this step and fail over")
-		standby   = flag.Bool("standby", false, "with -kill-coord: warm standby — restore the replacement coordinator from the pre-kill snapshot instead of booting cold")
-		snapDir   = flag.String("snapshot-dir", "", "TCP single-query mode: persist coordinator snapshots into this directory at every progress interval")
-		restDir   = flag.String("restore", "", "TCP single-query mode: boot the coordinator from the newest intact snapshot in this directory")
+		k         = fs.Int("k", 4, "number of sites")
+		eps       = fs.Float64("eps", 0.1, "relative error parameter (single-query mode)")
+		n         = fs.Int64("n", 100_000, "stream length")
+		seed      = fs.Uint64("seed", 1, "stream seed")
+		sclass    = fs.String("stream", "randwalk", "stream class: randwalk|biased|monotone|sawtooth|zipf")
+		refresh   = fs.Int64("progress", 10, "progress lines to print")
+		record    = fs.String("record", "", "tee the workload into this trace file while running")
+		replay    = fs.String("replay", "", "drive the run from a recorded trace file instead of a generator")
+		netFlag   = fs.String("net", "", "run on the async fault simulator under this model (e.g. latency=8,jitter=2,drop=0.01,retrans=3) instead of live TCP")
+		queries   = fs.String("queries", "", "multi-query mode: ';'-separated query specs, e.g. 'det,eps=0.1;freq,eps=0.2,filter=even;rand,eps=0.05,at=50000'")
+		httpAddr  = fs.String("http", "", "serve the live admin surface (/status /metrics /events /healthz /debug/pprof) on this address — works with every runtime; \":0\" picks a port and prints it")
+		eventsOut = fs.String("events-out", "", "dump the protocol event trace as JSONL to this file at exit")
+		dialTO    = fs.Duration("dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
+		hb        = fs.Duration("hb", 0, "TCP failure detection: heartbeat interval (0 = off)")
+		hbMiss    = fs.Int("hb-miss", 3, "consecutive missed heartbeat periods before a slot is declared dead")
+		kill      = fs.String("kill", "", "crash-fault smoke (TCP single-query mode): kill site at 'STEP:SITE', e.g. 8000:1")
+		tkAfter   = fs.Duration("takeover-after", 0, "with -kill/-kill-coord: extra degraded time before the replacement comes up")
+		killCo    = fs.Int64("kill-coord", 0, "coordinator crash smoke (TCP single-query mode): kill the coordinator at this step and fail over")
+		standby   = fs.Bool("standby", false, "with -kill-coord: warm standby — restore the replacement coordinator from the pre-kill snapshot instead of booting cold")
+		snapDir   = fs.String("snapshot-dir", "", "TCP single-query mode: persist coordinator snapshots into this directory at every progress interval")
+		restDir   = fs.String("restore", "", "TCP single-query mode: boot the coordinator from the newest intact snapshot in this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if *k < 1 {
+		return usagef("-k must be at least 1 (got %d)", *k)
+	}
+	if *refresh < 1 {
+		return usagef("-progress must be at least 1 (got %d)", *refresh)
+	}
+	gen, err := makeStream(*sclass, *n, *seed)
+	if err != nil {
+		return err
+	}
+	specs := []query.Spec{{Algo: "det", Eps: *eps}}
+	if *queries != "" {
+		if specs, err = query.ParseSpecs(*queries); err != nil {
+			return err
+		}
+	} else if err := specs[0].Validate(); err != nil {
+		return usagef("-eps: %w", err)
+	}
+	var model *dist.NetModel
+	if *netFlag != "" {
+		m, err := dist.ParseNetModel(*netFlag)
+		if err != nil {
+			return err
+		}
+		model = &m
+	}
+	singleTCP := *queries == "" && model == nil
+	switch {
+	case *kill != "" && !singleTCP:
+		return errors.New("-kill needs the single-query live TCP runtime (drop -queries and -net)")
+	case *killCo > 0 && !singleTCP:
+		return errors.New("-kill-coord needs the single-query live TCP runtime (drop -queries and -net)")
+	case *kill != "" && *killCo > 0:
+		return errors.New("-kill and -kill-coord are one fault apiece; pick one")
+	case *standby && *killCo == 0:
+		return errors.New("-standby only means something with -kill-coord")
+	case *restDir != "" && *killCo > 0 && !*standby:
+		return errors.New("-restore with -kill-coord boots the standby, so it needs -standby")
+	case (*snapDir != "" || *restDir != "") && (!singleTCP || *kill != ""):
+		return errors.New("-snapshot-dir/-restore need the single-query live TCP runtime (drop -queries, -net and -kill)")
+	}
+	var fault *faultPlan
+	if *kill != "" {
+		if fault, err = parseKill(*kill, *k); err != nil {
+			return err
+		}
+	} else if *killCo > 0 {
+		fault = &faultPlan{at: *killCo, site: -1, standby: *standby, snapDir: *snapDir, restore: *restDir}
+	}
 
-	gen := makeStream(*sclass, *n, *seed)
-
-	// The driven stream: replayed traces already carry site assignments
-	// (validated against -k below); generated workloads get round-robin.
-	var st stream.Stream
+	// Replayed traces already carry site assignments (checked against -k
+	// here and per update by the driver); generated workloads get
+	// round-robin.
+	var st stream.Stream = stream.NewAssign(gen, stream.NewRoundRobin(*k))
 	recordK := *k
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
 		tr, err := stream.NewTraceReader(f)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if tr.K() > *k {
-			fatalf("%s was recorded for %d sites; rerun with -k >= %d", *replay, tr.K(), tr.K())
+			return fmt.Errorf("%s was recorded for %d sites; rerun with -k >= %d", *replay, tr.K(), tr.K())
 		}
 		if tr.K() == 0 {
 			fmt.Fprintf(os.Stderr, "varmon: %s predates the site-count header; site ids are validated per update\n", *replay)
@@ -191,954 +200,240 @@ func main() {
 			recordK = tr.K()
 		}
 		st = tr
-	} else {
-		st = stream.NewAssign(gen, stream.NewRoundRobin(*k))
 	}
-
-	// Recording is a streaming tee around the (already assigned) run
-	// stream — never a re-assignment, never a Collect.
+	plan, initial := newQueryPlan(specs)
+	eng, siteAlgos, err := query.New(*k, initial)
+	if err != nil {
+		return err
+	}
+	adm := newAdmin(*httpAddr, *eventsOut, out)
+	d := &driver{out: out, k: *k, every: max(*n / *refresh, 1), single: *queries == "",
+		adm: adm, plan: plan, fault: fault}
 	var recFile *os.File
-	var tw *stream.TraceWriter
 	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			fatalf("%v", err)
+		if recFile, err = os.Create(*record); err != nil {
+			return err
 		}
-		recFile = f
-		tw, err = stream.NewTraceWriter(f, recordK)
-		if err != nil {
-			fatalf("%v", err)
+		defer recFile.Close()
+		if d.rec, err = stream.NewTraceWriter(recFile, recordK); err != nil {
+			return err
 		}
-		st = &tee{inner: st, tw: tw}
 	}
 
-	every := *n / *refresh
-	if every < 1 {
-		every = 1
-	}
-
-	var model *dist.NetModel
-	if *netFlag != "" {
-		m, err := dist.ParseNetModel(*netFlag)
-		if err != nil {
-			fatalf("%v", err)
+	if model != nil {
+		d.rt = newAsync(eng, siteAlgos, *model, *seed, adm.sink())
+		fmt.Fprintf(out, "async simulator: k=%d, Q=%d, net %s\n", *k, len(specs), model)
+	} else {
+		tcp := &tcpRuntime{k: *k, dialTimeout: *dialTO, hb: *hb, hbMiss: *hbMiss, sink: adm.sink(),
+			siteAlgos: siteAlgos, sites: make([]*dist.NetSite, *k)}
+		if fault != nil && tcp.hb <= 0 {
+			tcp.hb = 25 * time.Millisecond // the fault smokes are pointless without a detector
 		}
-		model = &m
-	}
-
-	adm := newAdmin(obsCfg{httpAddr: *httpAddr, eventsOut: *eventsOut})
-	opts := tcpOpts{dialTimeout: *dialTO, hb: *hb, hbMiss: *hbMiss}
-	if *kill != "" && (*queries != "" || model != nil) {
-		fatalf("-kill needs the single-query live TCP runtime (drop -queries and -net)")
-	}
-	if *killCo > 0 && (*queries != "" || model != nil) {
-		fatalf("-kill-coord needs the single-query live TCP runtime (drop -queries and -net)")
-	}
-	if *kill != "" && *killCo > 0 {
-		fatalf("-kill and -kill-coord are one fault apiece; pick one")
-	}
-	if *standby && *killCo == 0 {
-		fatalf("-standby only means something with -kill-coord")
-	}
-	if (*snapDir != "" || *restDir != "") && (*queries != "" || model != nil || *kill != "") {
-		fatalf("-snapshot-dir/-restore need the single-query live TCP runtime (drop -queries, -net and -kill)")
-	}
-	switch {
-	case *queries != "":
-		specs, err := query.ParseSpecs(*queries)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if model != nil {
-			runQueriesAsync(st, *k, specs, every, *model, *seed, adm)
+		defer tcp.close()
+		fresh := func() *query.Coord { c, _, _ := query.New(*k, initial); return c }
+		coordAlgo, epoch := eng, int64(0)
+		if fault == nil {
+			d.snapDir = *snapDir
+			if *restDir != "" {
+				var step int64
+				if coordAlgo, step, err = restoreFrom(*restDir, fresh); err != nil {
+					return err
+				}
+				// A new incarnation of an old deployment listens as a
+				// standby, so every site folds its books through the
+				// takeover handshake when it dials.
+				epoch = 1
+				fmt.Fprintf(out, "coordinator restored from the step-%d snapshot in %s (f̂ resumes at %d)\n",
+					step, *restDir, coordAlgo.Estimate())
+			}
 		} else {
-			runQueriesTCP(st, *k, specs, every, opts, adm)
+			fault.rt, fault.fresh, fault.after, fault.outage, fault.out = tcp, fresh, *tkAfter, d.every, out
 		}
-	case model != nil:
-		runAsync(st, *k, *eps, every, *model, *seed, adm)
-	case *kill != "":
-		step, site := parseKill(*kill, *k)
-		runTCPKill(st, *k, *eps, every, opts, step, site, *tkAfter, adm)
-	case *killCo > 0:
-		runTCPKillCoord(st, *k, *eps, every, opts, *killCo, *standby, *snapDir, *restDir, *tkAfter, adm)
-	default:
-		runTCP(st, *k, *eps, every, opts, *snapDir, *restDir, adm)
+		if err := tcp.listen(coordAlgo, epoch); err != nil {
+			return err
+		}
+		d.rt = tcp
+		fmt.Fprintf(out, "coordinator listening on %s: k=%d, Q=%d (%d pending attach)\n",
+			tcp.coord.Addr(), *k, len(specs), len(specs)-len(initial))
 	}
-
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			fatalf("flushing trace: %v", err)
+	if err := d.drive(st); err != nil {
+		return err
+	}
+	if d.rec != nil {
+		if err := d.rec.Flush(); err != nil {
+			return fmt.Errorf("flushing trace: %w", err)
 		}
 		if err := recFile.Close(); err != nil {
-			fatalf("closing trace: %v", err)
+			return fmt.Errorf("closing trace: %w", err)
 		}
-		fmt.Printf("recorded %d updates to %s\n", tw.Count(), *record)
+		fmt.Fprintf(out, "recorded %d updates to %s\n", d.rec.Count(), *record)
 	}
+	return nil
 }
 
-// checkSite guards per-site indexing against out-of-range ids (a format-1
-// trace replayed with too small a -k, or a corrupt record).
-func checkSite(u stream.Update, k int) {
-	if u.Site < 0 || u.Site >= k {
-		fatalf("update %d is assigned to site %d, outside [0, %d); was the trace recorded with a larger -k?",
-			u.T, u.Site, k)
-	}
-}
-
-// tcpOpts carries the live-TCP runtime knobs from the flag set.
-type tcpOpts struct {
-	dialTimeout time.Duration
-	hb          time.Duration // 0: failure detection off
-	hbMiss      int
-}
-
-// arm wires failure detection onto a freshly built coordinator+site set.
-func (o tcpOpts) arm(coord *dist.Coordinator, sites []*dist.NetSite) {
-	if o.hb <= 0 {
-		return
-	}
-	coord.SetFailureDetection(o.hb, o.hbMiss)
-	for _, s := range sites {
-		s.StartHeartbeats(o.hb)
-	}
-}
-
-// parseKill resolves a -kill STEP:SITE argument.
-func parseKill(spec string, k int) (int64, int) {
-	var step int64
-	var site int
-	if _, err := fmt.Sscanf(spec, "%d:%d", &step, &site); err != nil {
-		fatalf("-kill wants STEP:SITE, got %q", spec)
-	}
-	if step < 1 || site < 0 || site >= k {
-		fatalf("-kill %q: need STEP >= 1 and SITE in [0, %d)", spec, k)
-	}
-	return step, site
-}
-
-func runTCP(st stream.Stream, k int, eps float64, every int64, opts tcpOpts, snapDir, restoreDir string, adm *admin) {
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	var coord *dist.Coordinator
-	var err error
-	if restoreDir != "" {
-		// Boot from the newest intact on-disk snapshot. The restored
-		// coordinator is a new incarnation of an old deployment, so it
-		// listens as a standby: epoch 1, announcing the takeover to every
-		// site that dials so their books fold through the handshake.
-		restored, step, skipped, rerr := restoreLatest(restoreDir, func() any {
-			a, _ := track.NewDeterministic(k, eps)
-			return a
-		})
-		for _, s := range skipped {
-			fmt.Fprintf(os.Stderr, "varmon: skipping damaged snapshot %s\n", s)
-		}
-		if rerr != nil {
-			fatalf("%v", rerr)
-		}
-		coordAlgo = restored.(dist.CoordAlgo)
-		coord, err = dist.ListenCoordinatorStandby("127.0.0.1:0", k, coordAlgo, 1)
-		if err == nil {
-			fmt.Printf("coordinator restored from the step-%d snapshot in %s (f̂ resumes at %d)\n",
-				step, restoreDir, coordAlgo.Estimate())
-		}
-	} else {
-		coord, err = dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
+// restoreFrom boots an engine coordinator from the newest intact snapshot
+// in dir, reporting each damaged file it skips.
+func restoreFrom(dir string, fresh func() *query.Coord) (*query.Coord, int64, error) {
+	algo, step, skipped, err := restoreLatest(dir, func() any { return fresh() })
+	for _, s := range skipped {
+		fmt.Fprintf(os.Stderr, "varmon: skipping damaged snapshot %s\n", s)
 	}
 	if err != nil {
-		fatalf("listen: %v", err)
+		return nil, 0, err
 	}
-	defer coord.Close()
-	fmt.Printf("coordinator listening on %s; %d sites connecting\n", coord.Addr(), k)
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-	adm.serve(&obs.Metrics{
-		Stats:  coord.Stats,
-		Health: func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		return singleStatus{Estimate: coord.Estimate(), Stats: coord.Stats()}
-	})
-	defer adm.finish()
-
-	var f, steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		sites[u.Site].Update(u)
-		if u.T%every == 0 {
-			// Flush so the printed estimate reflects all sent messages.
-			barrierAll(sites, "barrier")
-			if snapDir != "" {
-				writeSnapshot(coord, coordAlgo, snapDir, u.T)
-			}
-			est := coord.Estimate()
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%d\n",
-				u.T, f, est, relErr(f, est), coord.Stats().Total())
-		}
-	}
-
-	barrierAll(sites, "final barrier")
-	stats := coord.Stats()
-	fmt.Printf("\nfinal: f=%d f̂=%d | messages=%d (%.4f/update) wire bytes=%d\n",
-		f, coord.Estimate(), stats.Total(),
-		perStep(stats.Total(), steps), stats.Bytes)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
+	return algo.(*query.Coord), step, nil
 }
 
-// runTCPKill is the crash-fault smoke: a real mid-stream process death on
-// live TCP, detector verdict, degraded streaming with the victim's updates
-// buffered locally, then a warm takeover restored from a pre-kill
-// snapshot. Exits nonzero if any leg fails or the final estimate misses ε.
-func runTCPKill(st stream.Stream, k int, eps float64, every int64, opts tcpOpts,
-	killStep int64, victim int, tkAfter time.Duration, adm *admin) {
-	if opts.hb <= 0 {
-		opts.hb = 25 * time.Millisecond // the smoke is pointless without a detector
+// checkpoint snapshots the coordinator engine, persisting the blob into
+// dir unless dir is empty.
+func checkpoint(rt runtime, dir string, step int64) (blob []byte, err error) {
+	rt.inject(func(eng *query.Coord, _ dist.Outbox) { blob, err = track.SnapshotCoord(eng) })
+	if err == nil && dir != "" {
+		_, err = writeSnapshotFile(dir, step, blob)
 	}
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer coord.Close()
-	fmt.Printf("coordinator listening on %s; %d sites connecting; killing site %d at step %d\n",
-		coord.Addr(), k, victim, killStep)
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-	// Health rides the detector's verdict (thread-safe on the coordinator),
-	// not the driver loop's local phase flags.
-	adm.serve(&obs.Metrics{
-		Stats:  coord.Stats,
-		Health: func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		return singleStatus{Estimate: coord.Estimate(), Stats: coord.Stats()}
-	})
-	defer adm.finish()
-
-	var f, steps int64
-	var snap []byte
-	var backlog []stream.Update
-	var verdictAt, killedAt time.Time
-	killed, deadSeen, tookOver := false, false, false
-	// A heartbeat already in flight when the victim dies can briefly
-	// rescind a dead verdict just after we act on it (the detector
-	// re-declares once the stale beacon drains, but by then the
-	// replacement has registered against a live-looking slot and the
-	// takeover hook never fires). Trust a verdict only once the drain
-	// window after the kill has passed and the verdict still stands.
-	verdictStands := func() bool {
-		return time.Since(killedAt) >= 2*opts.hb && coord.SiteDead(victim)
-	}
-	takeover := func() {
-		_, fresh := track.NewDeterministic(k, eps)
-		if err := track.RestoreSite(fresh[victim], snap); err != nil {
-			fatalf("restore: %v", err)
-		}
-		repl, err := dist.DialNetSiteRetry(coord.Addr(), victim, fresh[victim], opts.dialTimeout)
-		if err != nil {
-			fatalf("takeover dial: %v", err)
-		}
-		repl.StartHeartbeats(opts.hb)
-		repl.Inject(func(out dist.Outbox) {
-			fresh[victim].(dist.SiteTakeover).OnTakeover(out)
-		})
-		for _, u := range backlog {
-			repl.Update(u)
-		}
-		sites[victim] = repl
-		tookOver = true
-		fmt.Printf("t=%-10d warm takeover: slot %d re-dialed, snapshot restored, %d buffered updates replayed\n",
-			steps, victim, len(backlog))
-	}
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		if !killed && steps == killStep {
-			// Quiesce the victim's connection, checkpoint it under its
-			// lock, then kill the process. Its share of the stream buffers
-			// locally (the durable queue a real deployment would hold).
-			if err := sites[victim].Barrier(); err != nil {
-				fatalf("pre-kill barrier: %v", err)
-			}
-			sites[victim].Inject(func(dist.Outbox) {
-				snap, err = track.SnapshotSite(siteAlgos[victim])
-			})
-			if err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			sites[victim].Close()
-			killed = true
-			killedAt = time.Now()
-			fmt.Printf("t=%-10d killed site %d (snapshot: %d bytes)\n", steps, victim, len(snap))
-		}
-		if killed && !tookOver {
-			if !deadSeen && verdictStands() {
-				deadSeen = true
-				verdictAt = time.Now()
-				fmt.Printf("t=%-10d detector verdict: site %d dead (heartbeat misses: %d)\n",
-					steps, victim, coord.Stats().HeartbeatMisses)
-			}
-			if deadSeen && !coord.SiteDead(victim) {
-				// Stale in-flight beacon rescinded the verdict; wait for
-				// the detector to re-declare before splicing.
-				deadSeen = false
-			}
-			if deadSeen && time.Since(verdictAt) >= tkAfter {
-				takeover()
-			}
-		}
-		if killed && !tookOver && u.Site == victim {
-			backlog = append(backlog, u)
-			continue
-		}
-		sites[u.Site].Update(u)
-		if u.T%every == 0 {
-			est := coord.Estimate()
-			state := "healthy"
-			if killed && !tookOver {
-				state = "degraded"
-			}
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%-8d [%s]\n",
-				u.T, f, est, relErr(f, est), coord.Stats().Total(), state)
-		}
-	}
-	if !killed {
-		fatalf("stream ended before -kill step %d (only %d updates)", killStep, steps)
-	}
-	// A short stream can end mid-outage; the smoke still owes a takeover.
-	if !tookOver {
-		deadline := time.Now().Add(10 * time.Second)
-		for !verdictStands() {
-			if time.Now().After(deadline) {
-				fatalf("detector never declared site %d dead", victim)
-			}
-			time.Sleep(opts.hb)
-		}
-		takeover()
-	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	adm.finish() // before the asserts, so a failing smoke still dumps its trace
-	stats := coord.Stats()
-	var hbSent int64
-	for _, s := range sites {
-		hbSent += s.Stats().HeartbeatsSent
-	}
-	est := coord.Estimate()
-	fmt.Printf("\nfinal: f=%d f̂=%d rel.err=%.5f | messages=%d heartbeats sent/recv=%d/%d misses=%d takeovers=%d\n",
-		f, est, relErr(f, est), stats.Total(),
-		hbSent, stats.HeartbeatsRecv, stats.HeartbeatMisses, stats.Takeovers)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
-	if stats.Takeovers != 1 {
-		fatalf("expected exactly one takeover, saw %d", stats.Takeovers)
-	}
-	if relErr(f, est) > eps+1e-9 {
-		fatalf("estimate %d vs exact %d misses ε=%g after takeover", est, f, eps)
-	}
-	fmt.Println("kill-and-takeover smoke passed")
+	return blob, err
 }
 
-// writeSnapshot checkpoints the coordinator under its own lock and
-// persists the blob, returning it for callers that also hold it in memory.
-func writeSnapshot(coord *dist.Coordinator, algo dist.CoordAlgo, dir string, step int64) []byte {
-	var blob []byte
-	var err error
-	coord.Inject(func(dist.Outbox) {
-		blob, err = track.SnapshotCoord(algo)
-	})
-	if err != nil {
-		fatalf("snapshot: %v", err)
-	}
-	if _, err := writeSnapshotFile(dir, step, blob); err != nil {
-		fatalf("persisting snapshot: %v", err)
-	}
-	return blob
+// driver streams the workload into a runtime: ground truth, the trace
+// tee, the fault plan, due attaches, progress lines, and the final report
+// and checks.
+type driver struct {
+	out     io.Writer
+	k       int
+	every   int64
+	single  bool   // single-query mode: the final line carries f̂
+	snapDir string // persist a coordinator snapshot at every progress line
+	adm     *admin
+	rt      runtime
+	rec     *stream.TraceWriter // nil: not recording
+	plan    *queryPlan
+	fault   *faultPlan // nil: no fault
+	f       int64      // the exact net count
+	steps   int64
 }
 
-// runTCPKillCoord is the coordinator-side crash smoke: the coordinator
-// process dies mid-stream, every site's share of the stream buffers
-// locally while the slot is vacant, then a replacement coordinator comes
-// up on a new port — warm (snapshot-restored) with -standby, cold
-// otherwise — announces its epoch, refolds the sites' books through the
-// KindCoordTakeover handshake as they re-dial, and replays the buffered
-// backlogs. Exits nonzero unless exactly one coordinator takeover happened
-// and the final estimate is back inside ε.
-func runTCPKillCoord(st stream.Stream, k int, eps float64, every int64, opts tcpOpts,
-	killStep int64, standby bool, snapDir, restoreDir string, tkAfter time.Duration, adm *admin) {
-	if opts.hb <= 0 {
-		opts.hb = 25 * time.Millisecond // arm the detector on both incarnations
-	}
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer func() { coord.Close() }()
-	mode := "cold restart"
-	if standby {
-		mode = "warm standby"
-	}
-	fmt.Printf("coordinator listening on %s; %d sites connecting; killing the coordinator at step %d (%s)\n",
-		coord.Addr(), k, killStep, mode)
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer func() { closeSites(sites) }()
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-
-	// The outage spans one progress interval of buffered streaming, so the
-	// degraded window is visible in the report even on short runs.
-	outage := every
-	var f, steps int64
-	var snap []byte
-	backlog := make([][]stream.Update, k)
-	backlogged := 0
-	killed, revived := false, false
-	var killedAt time.Time
-
-	// The HTTP handlers race the driver goroutine for `coord` (rebound on
-	// revive) and the phase flags, so both sides go through the admin
-	// mutex; the driver's own unlocked reads are fine — it is the only
-	// writer.
-	snapshot := func() (*dist.Coordinator, bool) {
-		adm.lock()
-		defer adm.unlock()
-		return coord, killed && !revived
-	}
-	adm.serve(&obs.Metrics{
-		Stats: func() dist.Stats { c, _ := snapshot(); return c.Stats() },
-		Health: func() obs.Health {
-			c, down := snapshot()
-			if down {
-				return obs.Health{Detail: "coordinator down; sites buffering"}
-			}
-			return tcpHealth(c, k)
-		},
-	}, func() any {
-		c, _ := snapshot()
-		return singleStatus{Estimate: c.Estimate(), Stats: c.Stats()}
-	})
-	defer adm.finish()
-
-	revive := func() {
-		replacement, _ := track.NewDeterministic(k, eps)
-		if standby {
-			if restoreDir != "" {
-				// Boot from disk: the newest snapshot that still verifies.
-				restored, step, skipped, rerr := restoreLatest(restoreDir, func() any {
-					a, _ := track.NewDeterministic(k, eps)
-					return a
-				})
-				for _, s := range skipped {
-					fmt.Fprintf(os.Stderr, "varmon: skipping damaged snapshot %s\n", s)
-				}
-				if rerr != nil {
-					fatalf("%v", rerr)
-				}
-				replacement = restored.(dist.CoordAlgo)
-				fmt.Printf("t=%-10d standby restored from the step-%d snapshot in %s\n", steps, step, restoreDir)
-			} else if err := track.RestoreCoord(replacement, snap); err != nil {
-				fatalf("restore: %v", err)
-			}
-		}
-		next, err := dist.ListenCoordinatorStandby("127.0.0.1:0", k, replacement, 1)
-		if err != nil {
-			fatalf("standby listen: %v", err)
-		}
-		next.SetEventSink(adm.sink())
-		next.SetFailureDetection(opts.hb, opts.hbMiss)
-		for i := range sites {
-			s, err := dist.DialNetSiteRetry(next.Addr(), i, siteAlgos[i], opts.dialTimeout)
-			if err != nil {
-				fatalf("re-dial site %d: %v", i, err)
-			}
-			s.StartHeartbeats(opts.hb)
-			sites[i] = s
-		}
-		for i, b := range backlog {
-			for _, u := range b {
-				sites[i].Update(u)
-			}
-		}
-		adm.lock()
-		coord, coordAlgo = next, replacement
-		revived = true
-		adm.unlock()
-		fmt.Printf("t=%-10d coordinator takeover (%s): %d sites re-dialed %s, %d buffered updates replayed\n",
-			steps, mode, k, next.Addr(), backlogged)
-	}
-
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		if !killed && steps == killStep {
-			// Quiesce, checkpoint the coordinator under its lock, then kill
-			// it. The sites survive; their connections die with it.
-			barrierAll(sites, "pre-kill barrier")
-			coord.Inject(func(dist.Outbox) {
-				snap, err = track.SnapshotCoord(coordAlgo)
-			})
-			if err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			if snapDir != "" {
-				if _, werr := writeSnapshotFile(snapDir, steps, snap); werr != nil {
-					fatalf("persisting snapshot: %v", werr)
-				}
-			}
-			coord.Close()
-			closeSites(sites)
-			adm.lock()
-			killed = true
-			adm.unlock()
-			killedAt = time.Now()
-			fmt.Printf("t=%-10d killed the coordinator (snapshot: %d bytes); buffering all sites' updates\n",
-				steps, len(snap))
-		}
-		if killed && !revived {
-			backlog[u.Site] = append(backlog[u.Site], u)
-			backlogged++
-			if steps >= killStep+outage && time.Since(killedAt) >= tkAfter {
-				revive() // replays the backlog, including this update
-			}
-		} else {
-			sites[u.Site].Update(u)
-		}
-		if u.T%every == 0 {
-			if killed && !revived {
-				fmt.Printf("t=%-10d f=%-10d f̂=(coordinator down) buffered=%d [degraded]\n", u.T, f, backlogged)
-			} else {
-				est := coord.Estimate()
-				fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%d\n",
-					u.T, f, est, relErr(f, est), coord.Stats().Total())
-			}
-		}
-	}
-	if !killed {
-		fatalf("stream ended before -kill-coord step %d (only %d updates)", killStep, steps)
-	}
-	// A short stream can end mid-outage; the smoke still owes a takeover.
-	if !revived {
-		revive()
-	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	adm.finish() // before the asserts, so a failing smoke still dumps its trace
-	stats := coord.Stats()
-	est := coord.Estimate()
-	fmt.Printf("\nfinal: f=%d f̂=%d rel.err=%.5f | messages=%d epoch drops=%d coordinator takeovers=%d\n",
-		f, est, relErr(f, est), stats.Total(), stats.EpochDrops, stats.CoordTakeovers)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
-	if stats.CoordTakeovers != 1 {
-		fatalf("expected exactly one coordinator takeover, saw %d", stats.CoordTakeovers)
-	}
-	if relErr(f, est) > eps+1e-9 {
-		fatalf("estimate %d vs exact %d misses ε=%g after coordinator takeover", est, f, eps)
-	}
-	fmt.Println("coordinator kill-and-takeover smoke passed")
-}
-
-func runAsync(st stream.Stream, k int, eps float64, every int64, model dist.NetModel, seed uint64, adm *admin) {
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	sim := dist.NewAsyncSim(coordAlgo, siteAlgos, model, seed)
-	sim.Events = adm.sink()
-	serveAsyncAdmin(sim, k, adm, nil)
-	defer adm.finish()
-	fmt.Printf("async simulator: %d sites, net %s\n", k, model)
-
-	var f, steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		// The simulator is single-threaded; the admin mutex fences it from
-		// concurrent HTTP scrapes (a no-op without -http/-events-out).
-		adm.lock()
-		sim.Step(u)
-		if u.T%every == 0 {
-			est := sim.Estimate()
-			s := sim.Stats()
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%-8d stale(avg/max)=%.1f/%d dropped=%d\n",
-				u.T, f, est, relErr(f, est), s.Total(),
-				s.AvgStaleness(), s.StalenessMax, s.Dropped)
-		}
-		adm.unlock()
-	}
-	adm.lock()
-	sim.Flush()
-	stats := sim.Stats()
-	est, now := sim.Estimate(), sim.Now()
-	adm.unlock()
-	fmt.Printf("\nfinal: f=%d f̂=%d | messages=%d (%.4f/update) wire bytes=%d\n",
-		f, est, stats.Total(), perStep(stats.Total(), steps), stats.Bytes)
-	fmt.Printf("net: virtual time=%d delivered=%d dropped=%d retransmitted=%d staleness avg=%.1f max=%d\n",
-		now, stats.Delivered(), stats.Dropped, stats.Retransmitted,
-		stats.AvgStaleness(), stats.StalenessMax)
-}
-
-// exactMonitor tracks the ground truth every query is judged against: the
-// net count, and per-item net counts for filtered and frequency queries.
-type exactMonitor struct {
-	f     int64
-	items map[uint64]int64
-}
-
-func newExactMonitor() *exactMonitor {
-	return &exactMonitor{items: make(map[uint64]int64)}
-}
-
-func (e *exactMonitor) apply(u stream.Update) {
-	e.f += u.Delta
-	if n := e.items[u.Item] + u.Delta; n == 0 {
-		delete(e.items, u.Item)
-	} else {
-		e.items[u.Item] = n
-	}
-}
-
-// want returns the true value a spec's estimate chases: the net count,
-// restricted to the filter when one is set (for frequency queries that is
-// the filtered F1).
-func (e *exactMonitor) want(spec query.Spec) int64 {
-	if spec.Filter == nil {
-		return e.f
-	}
-	var w int64
-	for item, v := range e.items {
-		if spec.Filter.Match(item) {
-			w += v
-		}
-	}
-	return w
-}
-
-// queryPlan splits specs into the initially attached set and the pending
-// mid-stream attaches, preserving CLI order in the final report.
-type queryPlan struct {
-	specs []query.Spec
-	qid   []int // spec index -> query id, -1 until attached
-}
-
-func newQueryPlan(specs []query.Spec) (*queryPlan, []query.Spec) {
-	p := &queryPlan{specs: specs, qid: make([]int, len(specs))}
-	var initial []query.Spec
-	for i, s := range specs {
-		if s.AttachAt > 0 {
-			p.qid[i] = -1
-			continue
-		}
-		p.qid[i] = len(initial)
-		initial = append(initial, s)
-	}
-	return p, initial
-}
-
-// due invokes attach for every pending spec whose attach point has passed.
-func (p *queryPlan) due(step int64, attach func(spec query.Spec) int) {
-	for i, s := range p.specs {
-		if p.qid[i] < 0 && step >= s.AttachAt {
-			p.qid[i] = attach(s)
-			fmt.Printf("t=%-10d attached query %s (qid %d)\n", step, s.Label(p.qid[i]), p.qid[i])
-		}
-	}
-}
-
-// report prints the final per-query table.
-func (p *queryPlan) report(eng *query.Coord, ex *exactMonitor, class []dist.Stats) {
-	fmt.Printf("\n%-12s %-10s %-7s %-10s %-10s %-9s %-6s %-9s %-11s %s\n",
-		"query", "algo", "eps", "estimate", "true", "rel.err", "in-ε", "msgs", "wire bytes", "note")
-	allOK := true
-	for i, spec := range p.specs {
-		qid := p.qid[i]
-		if qid < 0 {
-			fmt.Printf("%-12s %-10s %-7g never attached (at=%d > n)\n", spec.Label(i), spec.Algo, spec.Eps, spec.AttachAt)
-			continue
-		}
-		est, _ := eng.EstimateQuery(qid)
-		want := ex.want(spec)
-		re := relErr(want, est)
-		ok := re <= spec.Eps+1e-9
-		var notes []string
-		if spec.Filter != nil {
-			notes = append(notes, "filter="+spec.Filter.Name)
-		}
-		if st, isThresh := eng.ThresholdState(qid); isThresh {
-			// The threshold promise is the two-sided decision, judged on
-			// the underlying tracked estimate above.
-			notes = append(notes, fmt.Sprintf("f %s τ=%d", st, spec.Tau))
-		}
-		if spec.AttachAt > 0 {
-			notes = append(notes, fmt.Sprintf("attached@%d", spec.AttachAt))
-		}
-		note := strings.Join(notes, " ")
-		var msgs, bytes int64
-		if qid < len(class) {
-			msgs, bytes = class[qid].Total(), class[qid].Bytes
-		}
-		fmt.Printf("%-12s %-10s %-7g %-10d %-10d %-9.5f %-6v %-9d %-11d %s\n",
-			spec.Label(qid), spec.Algo, spec.Eps, est, want, re, ok, msgs, bytes, note)
-		if !ok {
-			allOK = false
-		}
-	}
-	if !allOK {
-		fmt.Println("WARNING: a query finished outside its ε band")
-	}
-}
-
-func dialSites(addr string, k int, siteAlgos []dist.SiteAlgo, timeout time.Duration) []*dist.NetSite {
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSiteRetry(addr, i, siteAlgos[i], timeout)
-		if err != nil {
-			fatalf("dial site %d: %v", i, err)
-		}
-		sites[i] = s
-	}
-	return sites
-}
-
-func closeSites(sites []*dist.NetSite) {
-	for _, s := range sites {
-		s.Close()
-	}
-}
-
-func barrierAll(sites []*dist.NetSite, context string) {
-	for round := 0; round < 2; round++ {
-		for _, s := range sites {
-			if err := s.Barrier(); err != nil {
-				fatalf("%s: %v", context, err)
-			}
-		}
-	}
-}
-
-// barrierQuiesce flushes barrier rounds until the coordinator's counters
-// stop moving — a block collection is a multi-leg cascade, so a fixed
-// number of rounds is not enough for a consistent multi-query snapshot.
-// The round cap is a safety valve; hitting it means the report below may
-// be a mid-cascade snapshot, so say so instead of staying silent.
-func barrierQuiesce(coord *dist.Coordinator, sites []*dist.NetSite, context string) {
-	prev := dist.Stats{}
-	for round := 0; round < 16; round++ {
-		for _, s := range sites {
-			if err := s.Barrier(); err != nil {
-				fatalf("%s: %v", context, err)
-			}
-		}
-		// Heartbeat beacons keep the liveness counters moving forever;
-		// quiescence means the protocol counters stopped.
-		st := coord.Stats()
-		if st.WithoutLiveness() == prev.WithoutLiveness() {
-			return
-		}
-		prev = st
-	}
-	fmt.Fprintln(os.Stderr, "varmon: network still active after 16 barrier rounds; the report below may be a mid-cascade snapshot")
-}
-
-// liveStatus is the /status JSON document in multi-query mode.
+// liveStatus is the /status JSON document.
 type liveStatus struct {
 	Queries  []query.Status `json:"queries"`
 	Stats    dist.Stats     `json:"stats"`
 	PerQuery []dist.Stats   `json:"per_query"`
 }
 
-// singleStatus is the /status JSON document for single-query runtimes.
-type singleStatus struct {
-	Estimate int64      `json:"estimate"`
-	Stats    dist.Stats `json:"stats"`
+func (d *driver) status() any {
+	var doc liveStatus
+	d.rt.inject(func(eng *query.Coord, _ dist.Outbox) { doc.Queries = eng.Status() })
+	doc.Stats, doc.PerQuery = d.rt.stats(), d.rt.classStats()
+	return doc
 }
 
-func runQueriesTCP(st stream.Stream, k int, specs []query.Spec, every int64, opts tcpOpts, adm *admin) {
-	plan, initial := newQueryPlan(specs)
-	eng, siteAlgos, err := query.New(k, initial)
-	if err != nil {
-		fatalf("%v", err)
+// drive is the one loop that consumes the stream. The driver holds the
+// admin mutex while it touches the runtime, so HTTP scrapes (which take it
+// too) never race the single-threaded simulator or a coordinator takeover.
+// The admin surface shuts down and the event trace is dumped on every
+// return, a failed run's included.
+func (d *driver) drive(st stream.Stream) (err error) {
+	if err := d.adm.serve(d.rt.metrics(d.adm), guard(d.adm, d.status)); err != nil {
+		return err
 	}
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, eng)
-	if err != nil {
-		fatalf("listen: %v", err)
+	defer func() {
+		if ferr := d.adm.finish(); err == nil {
+			err = ferr
+		}
+	}()
+	for u, ok := st.Next(); ok; u, ok = st.Next() {
+		if u.Site < 0 || u.Site >= d.k {
+			return fmt.Errorf("update %d is assigned to site %d, outside [0, %d); was the trace recorded with a larger -k?",
+				u.T, u.Site, d.k)
+		}
+		if d.rec != nil {
+			if err := d.rec.Write(u); err != nil {
+				return fmt.Errorf("writing trace: %w", err)
+			}
+		}
+		d.adm.lock()
+		err := d.step(u)
+		d.adm.unlock()
+		if err != nil {
+			return err
+		}
 	}
-	defer coord.Close()
-	coord.SetClassifier(eng)
-	fmt.Printf("multi-query coordinator on %s; %d sites, %d queries (%d pending attach)\n",
-		coord.Addr(), k, len(specs), len(specs)-len(initial))
+	d.adm.lock()
+	stats, inEps, err := d.finish()
+	d.adm.unlock()
+	if err != nil {
+		return err
+	}
+	return d.fault.check(stats, inEps)
+}
 
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-
-	coord.SetEventSink(adm.sink())
-	adm.serve(&obs.Metrics{
-		Stats:      coord.Stats,
-		Classes:    coord.ClassStats,
-		ClassLabel: "query",
-		Health:     func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		var doc liveStatus
-		// eng is owned by the coordinator's lock; Inject serializes the read.
-		coord.Inject(func(dist.Outbox) { doc.Queries = eng.Status() })
-		doc.Stats = coord.Stats()
-		doc.PerQuery = coord.ClassStats()
-		return doc
+func (d *driver) step(u stream.Update) error {
+	d.f += u.Delta
+	d.plan.apply(u)
+	d.steps++
+	held, err := d.fault.hold(u, d.steps)
+	if err != nil {
+		return err
+	}
+	if !held {
+		d.rt.update(u)
+	}
+	err = d.plan.due(d.out, d.steps, func(spec query.Spec) (qid int, err error) {
+		d.rt.inject(func(eng *query.Coord, out dist.Outbox) { qid, err = eng.Attach(spec, out) })
+		return qid, err
 	})
-	defer adm.finish()
-
-	ex := newExactMonitor()
-	var steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		ex.apply(u)
-		steps++
-		sites[u.Site].Update(u)
-		plan.due(steps, func(spec query.Spec) int {
-			var qid int
-			coord.Inject(func(out dist.Outbox) {
-				var aerr error
-				if qid, aerr = eng.Attach(spec, out); aerr != nil {
-					err = aerr
-				}
-			})
-			if err != nil {
-				fatalf("attach: %v", err)
-			}
-			return qid
-		})
-		if u.T%every == 0 {
-			barrierAll(sites, "barrier")
-			var status []query.Status
-			coord.Inject(func(dist.Outbox) { status = eng.Status() })
-			line := fmt.Sprintf("t=%-10d f=%-8d", u.T, ex.f)
-			for _, q := range status {
-				line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
-			}
-			fmt.Println(line)
+	if err != nil || u.T%d.every != 0 {
+		return err
+	}
+	// Outside an outage, flush first so the estimates reflect every message
+	// sent so far. During one they are the last the coordinator (or the
+	// dead one) saw.
+	degraded := d.fault.active()
+	if !degraded {
+		if err := d.rt.barrier(false); err != nil {
+			return err
 		}
 	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	stats := coord.Stats()
-	plan.report(eng, ex, coord.ClassStats())
-	fmt.Printf("\ntotal: %d messages (%.4f/update), %d wire bytes over one shared runtime\n",
-		stats.Total(), perStep(stats.Total(), steps), stats.Bytes)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
+	if d.snapDir != "" {
+		if _, err := checkpoint(d.rt, d.snapDir, u.T); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
 	}
+	line := fmt.Sprintf("t=%-10d f=%-10d", u.T, d.f)
+	d.rt.inject(func(eng *query.Coord, _ dist.Outbox) {
+		for _, q := range eng.Status() {
+			line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
+		}
+	})
+	line += fmt.Sprintf("  msgs=%d", d.rt.stats().Total())
+	if degraded {
+		line += fmt.Sprintf(" buffered=%d [degraded]", len(d.fault.backlog))
+	}
+	fmt.Fprintln(d.out, line)
+	return nil
 }
 
-func runQueriesAsync(st stream.Stream, k int, specs []query.Spec, every int64, model dist.NetModel, seed uint64, adm *admin) {
-	plan, initial := newQueryPlan(specs)
-	eng, siteAlgos, err := query.New(k, initial)
-	if err != nil {
-		fatalf("%v", err)
+// finish heals a fault still open, drains the runtime, and prints the
+// report and the final line. It returns the final counters, whether every
+// query ended inside its ε band, and the transport's first error.
+func (d *driver) finish() (dist.Stats, bool, error) {
+	if err := d.fault.finish(d.steps); err != nil {
+		return dist.Stats{}, false, err
 	}
-	sim := dist.NewAsyncSim(eng, siteAlgos, model, seed)
-	sim.SetClassifier(eng)
-	sim.Events = adm.sink()
-	serveAsyncAdmin(sim, k, adm, eng)
-	defer adm.finish()
-	fmt.Printf("multi-query async simulator: %d sites, %d queries, net %s\n", k, len(specs), model)
-
-	ex := newExactMonitor()
-	var steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		ex.apply(u)
-		steps++
-		// Simulator and engine are single-threaded; the admin mutex fences
-		// them from concurrent HTTP scrapes (a no-op without -http/-events-out).
-		adm.lock()
-		sim.Step(u)
-		plan.due(steps, func(spec query.Spec) int {
-			var qid int
-			sim.Inject(func(out dist.Outbox) {
-				var aerr error
-				if qid, aerr = eng.Attach(spec, out); aerr != nil {
-					fatalf("attach: %v", aerr)
-				}
-			})
-			return qid
-		})
-		if u.T%every == 0 {
-			s := sim.Stats()
-			line := fmt.Sprintf("t=%-10d f=%-8d", u.T, ex.f)
-			for _, q := range eng.Status() {
-				line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
-			}
-			line += fmt.Sprintf("  stale(avg/max)=%.1f/%d dropped=%d", s.AvgStaleness(), s.StalenessMax, s.Dropped)
-			fmt.Println(line)
-		}
-		adm.unlock()
+	err := d.rt.barrier(true)
+	st, class := d.rt.stats(), d.rt.classStats()
+	var inEps bool
+	var est int64
+	d.rt.inject(func(eng *query.Coord, _ dist.Outbox) {
+		inEps = d.plan.report(d.out, eng, class)
+		est = eng.Estimate()
+	})
+	head := "total:"
+	if d.single {
+		head = fmt.Sprintf("final: f=%d f̂=%d |", d.f, est)
 	}
-	adm.lock()
-	sim.Flush()
-	stats := sim.Stats()
-	classStats := sim.ClassStats()
-	now := sim.Now()
-	adm.unlock()
-	plan.report(eng, ex, classStats)
-	fmt.Printf("\ntotal: %d messages (%.4f/update), %d wire bytes | virtual time=%d dropped=%d retransmitted=%d staleness avg=%.1f max=%d\n",
-		stats.Total(), perStep(stats.Total(), steps), stats.Bytes,
-		now, stats.Dropped, stats.Retransmitted, stats.AvgStaleness(), stats.StalenessMax)
-}
-
-func perStep(total, steps int64) float64 {
-	if steps == 0 {
-		return 0
-	}
-	return float64(total) / float64(steps)
-}
-
-func relErr(f, est int64) float64 {
-	diff := f - est
-	if diff < 0 {
-		diff = -diff
-	}
-	af := f
-	if af < 0 {
-		af = -af
-	}
-	if af == 0 {
-		return float64(diff)
-	}
-	return float64(diff) / float64(af)
+	fmt.Fprintf(d.out, "\n%s messages=%d (%.4f/update) wire bytes=%d | dropped=%d retransmitted=%d "+
+		"staleness avg=%.1f max=%d | heartbeats=%d misses=%d takeovers=%d coordinator takeovers=%d epoch drops=%d\n",
+		head, st.Total(), float64(st.Total())/float64(max(d.steps, 1)), st.Bytes, st.Dropped, st.Retransmitted,
+		st.AvgStaleness(), st.StalenessMax, st.HeartbeatsRecv, st.HeartbeatMisses, st.Takeovers, st.CoordTakeovers, st.EpochDrops)
+	return st, inEps, err
 }

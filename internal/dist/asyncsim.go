@@ -221,7 +221,9 @@ func (h *eventHeap) pop() event {
 // NewAsyncSim builds the asynchronous simulator over a coordinator, its k
 // site algorithms, a network model, and the seed of the model's RNG (drawn
 // only for jitter, loss, and nothing else, in event order — so runs are
-// reproducible bit for bit).
+// reproducible bit for bit). The simulator keeps its own copy of sites:
+// later writes to the caller's slice never reach it (ScheduleTakeover and
+// ReplaceSite are how a slot changes hands).
 func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64) *AsyncSim {
 	if coord == nil || len(sites) == 0 {
 		panic("dist: NewAsyncSim needs a coordinator and at least one site")
@@ -229,7 +231,7 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	model.validate()
 	s := &AsyncSim{
 		coord:       coord,
-		sites:       sites,
+		sites:       append([]SiteAlgo(nil), sites...),
 		model:       model,
 		src:         rng.New(seed),
 		linkAt:      make([]int64, 2*len(sites)),

@@ -57,6 +57,34 @@ func (c *echoCoord) OnMessage(m dist.Msg, out dist.Outbox) {
 
 func (c *echoCoord) Estimate() int64 { return c.f }
 
+// TestRuntimesCopySiteSlice: a simulator keeps its own copy of the site
+// slice, so overwriting the caller's slot after construction must not
+// redirect deliveries — a replacement reaches a slot only through
+// ReplaceSite or a scheduled takeover.
+func TestRuntimesCopySiteSlice(t *testing.T) {
+	build := map[string]func(dist.CoordAlgo, []dist.SiteAlgo) interface{ Step(stream.Update) }{
+		"sim": func(c dist.CoordAlgo, s []dist.SiteAlgo) interface{ Step(stream.Update) } {
+			return dist.NewSim(c, s)
+		},
+		"async": func(c dist.CoordAlgo, s []dist.SiteAlgo) interface{ Step(stream.Update) } {
+			return dist.NewAsyncSim(c, s, dist.NetModel{}, 1)
+		},
+	}
+	for name, mk := range build {
+		orig, intruder := &echoSite{}, &echoSite{}
+		sites := []dist.SiteAlgo{orig}
+		rt := mk(&echoCoord{}, sites)
+		sites[0] = intruder
+		for i := int64(1); i <= 10; i++ {
+			rt.Step(stream.Update{T: i, Site: 0, Delta: 1})
+		}
+		if orig.d != 10 || orig.got != 10 || intruder.d != 0 || intruder.got != 0 {
+			t.Errorf("%s: original saw %d updates and %d messages, overwriting slot saw %d and %d; want 10, 10, 0, 0",
+				name, orig.d, orig.got, intruder.d, intruder.got)
+		}
+	}
+}
+
 func TestSimStatsByteAccounting(t *testing.T) {
 	coord := &echoCoord{}
 	sites := []dist.SiteAlgo{&echoSite{id: 0}, &echoSite{id: 1}}

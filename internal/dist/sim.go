@@ -138,11 +138,13 @@ func (r *msgRing) grow() {
 }
 
 // NewSim builds a simulator over a coordinator and its k site algorithms.
+// The simulator keeps its own copy of sites: later writes to the caller's
+// slice never reach it (ReplaceSite is how a slot changes hands).
 func NewSim(coord CoordAlgo, sites []SiteAlgo) *Sim {
 	if coord == nil || len(sites) == 0 {
 		panic("dist: NewSim needs a coordinator and at least one site")
 	}
-	s := &Sim{coord: coord, sites: sites}
+	s := &Sim{coord: coord, sites: append([]SiteAlgo(nil), sites...)}
 	s.coordOut = &simOutbox{s: s, from: CoordID}
 	s.siteOut = make([]*simOutbox, len(sites))
 	s.batchSites = make([]BatchSiteAlgo, len(sites))
